@@ -103,3 +103,37 @@ grep -v '"stats":' "$workdir/serve-store-warm-raw.out" \
   > "$workdir/serve-store-warm.out"
 diff -u "$workdir/batch.out" "$workdir/serve-store-warm.out"
 echo "serve-smoke: restarted server answered warm from the store, byte-identically"
+
+# Repeated trees: the three documents three times each in one session with
+# fresh ids, the last copy of each spelled with `\u000a` escapes instead of
+# `\n`. The tree memo parses each text on its first two sightings and
+# answers the third from memory (the escape spelling decodes to the same
+# text). Every answer must still equal batch, and the metrics op must show
+# memo hits, so this lane fails if the memo silently stops engaging.
+{
+  id=100
+  for round in 0 1 2; do
+    for json in "$json0" "$json1" "$json2"; do
+      [ "$round" -eq 2 ] && json=${json//\\n/\\u000a}
+      printf '{"id":%d,"tree":"%s","query":"cdpf"}\n' "$id" "$json"
+      id=$((id + 1))
+    done
+  done
+  printf '{"op":"metrics","id":999}\n'
+} > "$workdir/requests-repeat.jsonl"
+grep -q 'u000a' "$workdir/requests-repeat.jsonl" \
+  || { echo "serve-smoke: the escaped copies are missing" >&2; exit 1; }
+
+"$CDAT" serve --stdio --workers 2 < "$workdir/requests-repeat.jsonl" \
+  > "$workdir/serve-repeat-raw.out"
+grep -v '"metrics":' "$workdir/serve-repeat-raw.out" \
+  | sed -E 's/"id":[0-9]+,//' \
+  | sort > "$workdir/serve-repeat.out"
+for _ in 1 2 3; do cat "$workdir/batch.out"; done | sort > "$workdir/batch-repeat.out"
+diff -u "$workdir/batch-repeat.out" "$workdir/serve-repeat.out"
+memo_hits=$(grep '"metrics":' "$workdir/serve-repeat-raw.out" \
+  | grep -oE 'cdat_tree_memo_hits_total [0-9]+' | awk '{ print $2 }')
+echo "serve-smoke: repeated-tree pass scraped cdat_tree_memo_hits_total=${memo_hits:-missing}"
+[ "${memo_hits:-0}" -gt 0 ] \
+  || { echo "serve-smoke: repeated trees must answer from the tree memo" >&2; exit 1; }
+echo "serve-smoke: repeated trees answered from the memo, byte-identical to batch"

@@ -240,6 +240,7 @@ pub fn server_route_requests() -> Vec<cdat_server::RouteRequest> {
             hint: request.hint,
             witnesses: request.witnesses,
             prefix: format!("{{\"id\":{i}"),
+            hash: None,
         })
         .collect()
 }

@@ -268,6 +268,13 @@ impl CdpAttackTree {
         &self.prob
     }
 
+    /// Heap bytes held by the tree and its attribute tables (capacities, not
+    /// lengths) — what keeping a parsed tree alive costs beyond its handle.
+    pub fn heap_bytes(&self) -> usize {
+        let floats = self.cd.cost.capacity() + self.cd.damage.capacity() + self.prob.capacity();
+        self.tree().heap_bytes() + floats * std::mem::size_of::<f64>()
+    }
+
     /// Total cost `ĉ(x)` (probabilities do not affect cost: the attacker pays
     /// for every attempted BAS whether or not it succeeds).
     pub fn cost_of(&self, attack: &Attack) -> f64 {

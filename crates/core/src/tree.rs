@@ -85,6 +85,22 @@ impl AttackTree {
         self.treelike
     }
 
+    /// Heap bytes held by the graph tables (capacities, not lengths).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let adjacency = |table: &Vec<Vec<NodeId>>| {
+            table.capacity() * size_of::<Vec<NodeId>>()
+                + table.iter().map(|ids| ids.capacity() * size_of::<NodeId>()).sum::<usize>()
+        };
+        self.types.capacity() * size_of::<NodeType>()
+            + adjacency(&self.children)
+            + adjacency(&self.parents)
+            + self.names.capacity() * size_of::<String>()
+            + self.names.iter().map(String::capacity).sum::<usize>()
+            + self.bas_nodes.capacity() * size_of::<NodeId>()
+            + self.bas_of_node.capacity() * size_of::<Option<BasId>>()
+    }
+
     /// Iterates over all node ids in topological order (children first).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count()).map(NodeId::from_index)

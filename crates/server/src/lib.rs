@@ -13,10 +13,17 @@
 //!   pipeline freely. The normative wire-format specification, with
 //!   replayable examples, lives in `docs/PROTOCOL.md` at the repository
 //!   root.
+//! * **Tree memo**: one per server, shared by every connection's reader.
+//!   A `tree` text seen a second time is kept parsed, under a fixed byte
+//!   budget ([`TREE_MEMO_BUDGET`]), with its canonical hash computed once,
+//!   so a repeat question about a known tree skips the parse and the hash
+//!   while the memo holds it. Its counters surface as
+//!   [`ServerSnapshot::memo`].
 //! * **Micro-batching** ([`ServeConfig`]): requests accumulate into
 //!   batches flushed on a size ([`ServeConfig::batch_max`]) or time
 //!   ([`ServeConfig::batch_window`]) threshold, so a burst of requests is
-//!   deduplicated and solved together instead of one at a time.
+//!   deduplicated and solved together instead of one at a time. The
+//!   default window is zero: whatever is queued goes out at once.
 //! * **Shard-by-hash routing** ([`Router`]): every request routes to the
 //!   worker shard owning its slice of the front cache, chosen by the
 //!   canonical structural hash — structurally identical trees always meet
@@ -39,13 +46,14 @@
 //!
 //! # Determinism
 //!
-//! Batching and sharding are performance dials, not semantic ones:
-//! response lines are byte-identical to `cdat batch` on the same documents
-//! (the rendering code is shared), whatever the shard count, batch window
-//! or batch size. Timing-dependent fields (cache hit flags, durations)
-//! are deliberately absent from solve responses; cache behaviour and
-//! latency telemetry are observable out of band via the `stats` and
-//! `metrics` ops (and the `--trace` JSONL flight recorder).
+//! Batching, sharding and the tree memo are performance dials, not
+//! semantic ones: response lines are byte-identical to `cdat batch` on the
+//! same documents (the rendering code is shared), whatever the shard
+//! count, batch window, batch size or memo state. Timing-dependent fields
+//! (cache hit flags, durations) are deliberately absent from solve
+//! responses; cache behaviour and latency telemetry are observable out of
+//! band via the `stats` and `metrics` ops (and the `--trace` JSONL flight
+//! recorder).
 //!
 //! # Example
 //!
@@ -64,6 +72,7 @@
 //!         hint: SolverHint::Auto,
 //!         witnesses: false,
 //!         prefix: format!("{{\"id\":{i}"),
+//!         hash: None, // the router hashes the tree itself
 //!     })
 //!     .collect();
 //! let lines = router.solve(requests);
@@ -75,10 +84,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod memo;
 pub mod protocol;
 mod router;
 mod serve;
 
+pub use memo::{MemoSnapshot, TREE_MEMO_BUDGET};
 pub use router::{
     DeltaRouteRequest, DispatchMetrics, Reply, RouteRequest, Router, RouterConfig, ServerSnapshot,
     ShardTelemetry,

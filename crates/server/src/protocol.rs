@@ -78,10 +78,11 @@
 
 use std::sync::Arc;
 
-use cdat_core::{CdpAttackTree, NodeType, TreePatch};
+use cdat_core::{CdpAttackTree, NodeType, StructuralHash, TreePatch};
 use cdat_engine::{CacheStats, FrontKind, Query, Response, SolverHint};
 use cdat_format::json::{self, Value};
-use cdat_obs::{histogram_samples, type_line, HistogramSnapshot};
+use cdat_format::ParseError;
+use cdat_obs::{histogram_samples, sample, type_line, HistogramSnapshot};
 
 use crate::router::ServerSnapshot;
 
@@ -112,6 +113,9 @@ pub struct DeltaSolveRequest {
     pub id: Value,
     /// The parsed base tree.
     pub tree: Arc<CdpAttackTree>,
+    /// The base tree's routing hash for the query's family, when the tree
+    /// source had it (see [`parse_request_with`]).
+    pub hash: Option<StructuralHash>,
     /// The query to answer on every patched variant.
     pub query: Query,
     /// Whether responses should carry witness attacks.
@@ -149,15 +153,38 @@ pub struct RequestDoc {
     pub name: Option<String>,
     /// The parsed tree.
     pub tree: Arc<CdpAttackTree>,
+    /// The tree's routing hash for the query's family, when the tree
+    /// source had it (see [`parse_request_with`]).
+    pub hash: Option<StructuralHash>,
 }
 
-/// Parses one request line.
+/// A parsed `tree` source plus its routing hash when known (see
+/// [`parse_request_with`]).
+pub type SourceTree = (Arc<CdpAttackTree>, Option<StructuralHash>);
+
+/// Parses one request line, parsing every tree text afresh.
 ///
 /// # Errors
 ///
 /// Returns the id to echo (best effort: `null` when the line is not even
 /// an object) and a message; the server answers with [`error_line`].
 pub fn parse_request(line: &str) -> Result<Request, (Value, String)> {
+    parse_request_with(line, |text, _| Ok((Arc::new(cdat_format::parse(text)?), None)))
+}
+
+/// Parses one request line, turning each `tree` source (of solve, `whatif`
+/// and `sweep` requests) into a tree through `tree_of`, which gets the
+/// JSON-decoded text and the query's family and returns the tree plus its
+/// routing hash when it knows it. The serving loops pass the server's
+/// tree memo here; `suite` sources are always parsed afresh.
+///
+/// # Errors
+///
+/// As [`parse_request`]; a failing `tree_of` answers `tree: <error>`.
+pub fn parse_request_with(
+    line: &str,
+    mut tree_of: impl FnMut(&str, FrontKind) -> Result<SourceTree, ParseError>,
+) -> Result<Request, (Value, String)> {
     let value = json::parse(line).map_err(|e| (Value::Null, format!("bad JSON: {e}")))?;
     let Value::Obj(ref pairs) = value else {
         return Err((Value::Null, "request must be a JSON object".into()));
@@ -169,8 +196,8 @@ pub fn parse_request(line: &str) -> Result<Request, (Value, String)> {
         return match op.as_str() {
             Some("stats") => Ok(Request::Stats { id }),
             Some("metrics") => Ok(Request::Metrics { id }),
-            Some("whatif") => parse_delta(&value, pairs, id, false),
-            Some("sweep") => parse_delta(&value, pairs, id, true),
+            Some("whatif") => parse_delta(&value, pairs, id, false, tree_of),
+            Some("sweep") => parse_delta(&value, pairs, id, true, tree_of),
             Some(other) => Err(fail(format!(
                 "unknown op {other:?} (expected \"stats\", \"metrics\", \"whatif\" or \"sweep\")"
             ))),
@@ -213,8 +240,9 @@ pub fn parse_request(line: &str) -> Result<Request, (Value, String)> {
 
     let (docs, suite) = match (value.get("tree"), value.get("suite")) {
         (Some(Value::Str(text)), None) => {
-            let tree = cdat_format::parse(text).map_err(|e| fail(format!("tree: {e}")))?;
-            (vec![RequestDoc { doc: 0, name: None, tree: Arc::new(tree) }], false)
+            let (tree, hash) =
+                tree_of(text, query.kind()).map_err(|e| fail(format!("tree: {e}")))?;
+            (vec![RequestDoc { doc: 0, name: None, tree, hash }], false)
         }
         (None, Some(Value::Str(text))) => {
             let documents =
@@ -222,7 +250,12 @@ pub fn parse_request(line: &str) -> Result<Request, (Value, String)> {
             let docs = documents
                 .into_iter()
                 .enumerate()
-                .map(|(doc, d)| RequestDoc { doc, name: d.name, tree: Arc::new(d.tree) })
+                .map(|(doc, d)| RequestDoc {
+                    doc,
+                    name: d.name,
+                    tree: Arc::new(d.tree),
+                    hash: None,
+                })
                 .collect();
             (docs, true)
         }
@@ -243,6 +276,7 @@ fn parse_delta(
     pairs: &[(String, Value)],
     id: Value,
     sweep: bool,
+    mut tree_of: impl FnMut(&str, FrontKind) -> Result<SourceTree, ParseError>,
 ) -> Result<Request, (Value, String)> {
     let fail = |message: String| (id.clone(), message);
     let patch_field = if sweep { "patches" } else { "patch" };
@@ -272,9 +306,9 @@ fn parse_delta(
         Some(_) => return Err(fail("witnesses must be a boolean".into())),
     };
 
-    let tree = match value.get("tree") {
+    let (tree, hash) = match value.get("tree") {
         Some(Value::Str(text)) => {
-            Arc::new(cdat_format::parse(text).map_err(|e| fail(format!("tree: {e}")))?)
+            tree_of(text, query.kind()).map_err(|e| fail(format!("tree: {e}")))?
         }
         Some(_) => return Err(fail("tree must be a string".into())),
         None => return Err(fail("missing tree".into())),
@@ -301,7 +335,7 @@ fn parse_delta(
             None => return Err(fail("missing patch".into())),
         }
     };
-    Ok(Request::Delta(DeltaSolveRequest { id, tree, query, witnesses, patches, sweep }))
+    Ok(Request::Delta(DeltaSolveRequest { id, tree, hash, query, witnesses, patches, sweep }))
 }
 
 /// Resolves one wire patch object against `tree` by node name (see the
@@ -650,6 +684,18 @@ pub fn metrics_text(snapshot: &ServerSnapshot) -> String {
         let label = shard.to_string();
         histogram_samples(&mut out, "cdat_shard_e2e_us", &[("shard", &label)], snap);
     }
+    let memo = &snapshot.memo;
+    for (name, value) in [
+        ("cdat_tree_memo_hits_total", memo.hits),
+        ("cdat_tree_memo_misses_total", memo.misses),
+        ("cdat_tree_memo_admissions_total", memo.admissions),
+        ("cdat_tree_memo_evictions_total", memo.evictions),
+    ] {
+        type_line(&mut out, name, "counter");
+        sample(&mut out, name, &[], value);
+    }
+    type_line(&mut out, "cdat_tree_memo_bytes", "gauge");
+    sample(&mut out, "cdat_tree_memo_bytes", &[], memo.bytes);
     if let Some(store) = &snapshot.store {
         store.render_prometheus(&mut out);
     }
@@ -946,6 +992,7 @@ mod tests {
             batch_fill: HistogramSnapshot::default(),
             dispatch: HistogramSnapshot::default(),
             store: None,
+            memo: crate::MemoSnapshot::default(),
         }
     }
 

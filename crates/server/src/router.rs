@@ -30,6 +30,7 @@ use cdat_engine::{
 };
 use cdat_obs::{Histogram, HistogramSnapshot, TraceWriter};
 
+use crate::memo::{MemoSnapshot, TreeMemo, TREE_MEMO_BUDGET};
 use crate::protocol::body_fragment;
 
 /// Router configuration.
@@ -106,6 +107,8 @@ pub struct ServerSnapshot {
     /// Store I/O merged across the shards' handles; `None` when serving
     /// memory-only.
     pub store: Option<StoreSnapshot>,
+    /// The readers' tree memo.
+    pub memo: MemoSnapshot,
 }
 
 /// One routed solve job: the tree and query plus the pre-rendered response
@@ -125,6 +128,11 @@ pub struct RouteRequest {
     /// with `{` (e.g. `{"id":3,"query":"cdpf"`); the shard appends
     /// `,"front":...}` / `,"point":...}` / `,"error":...}`.
     pub prefix: String,
+    /// The tree's canonical hash for the query's family when the caller
+    /// already has it (the readers take it from the tree memo); `None`
+    /// makes the router compute it. Either way the tree is hashed once:
+    /// the hash routes the job and keys its cache entry.
+    pub hash: Option<StructuralHash>,
 }
 
 /// One routed what-if job: the base tree, the query, and the patches
@@ -145,6 +153,9 @@ pub struct DeltaRouteRequest {
     /// One response-line prefix per patch (same length as `patches`); the
     /// shard appends the body fragment exactly as for solves.
     pub prefixes: Vec<String>,
+    /// The base tree's canonical hash when the caller already has it, as
+    /// for [`RouteRequest::hash`].
+    pub hash: Option<StructuralHash>,
 }
 
 /// A completed response: the submission sequence number (for callers that
@@ -177,6 +188,8 @@ pub struct Router {
     /// Span recorder for the routing-side stages (the shard engines hold
     /// their own clones for the solve-side stages).
     trace: Option<TraceWriter>,
+    /// The tree memo every reader of this server shares.
+    memo: TreeMemo,
     started: Instant,
 }
 
@@ -244,6 +257,7 @@ impl Router {
             telemetry,
             dispatch_metrics: Arc::new(DispatchMetrics::default()),
             trace: config.trace,
+            memo: TreeMemo::new(TREE_MEMO_BUDGET),
             started: Instant::now(),
         })
     }
@@ -260,26 +274,35 @@ impl Router {
         self.budgets.as_ref().map(|slices| slices.iter().sum())
     }
 
-    /// The routing hash of a tree under a query: the same canonical hash
-    /// that keys its cache entry.
-    fn hash_for(tree: &CdpAttackTree, query: Query) -> StructuralHash {
-        match query.kind() {
-            FrontKind::Deterministic | FrontKind::MinTime => hash_cd(tree.cd()),
-            FrontKind::Probabilistic | FrontKind::MaxProb => hash_cdp(tree),
-        }
-    }
-
-    /// The routing hash of a request: the same canonical hash that keys
-    /// its cache entry.
-    fn route_hash(request: &RouteRequest) -> StructuralHash {
-        Self::hash_for(&request.tree, request.query)
+    /// The routing hash of a job: the one it carries, or else the tree's
+    /// canonical hash, computed here (and traced as a `canonicalize` span).
+    fn route_hash(
+        &self,
+        carried: Option<StructuralHash>,
+        tree: &CdpAttackTree,
+        query: Query,
+    ) -> StructuralHash {
+        carried.unwrap_or_else(|| {
+            let hash_started = Instant::now();
+            let hash = routing_hash(tree, query.kind());
+            if let Some(trace) = &self.trace {
+                trace.emit(
+                    "canonicalize",
+                    hash_started.elapsed(),
+                    &[("kind", cdat_obs::TraceField::Str(query.kind().label()))],
+                );
+            }
+            hash
+        })
     }
 
     /// The shard a request routes to: its cache hash modulo the shard
     /// count, so structurally identical trees (under the same query kind)
     /// always meet the same shard's cache.
     pub fn shard_of(&self, request: &RouteRequest) -> usize {
-        (Self::route_hash(request).0 % self.txs.len() as u128) as usize
+        let hash =
+            request.hash.unwrap_or_else(|| routing_hash(&request.tree, request.query.kind()));
+        (hash.0 % self.txs.len() as u128) as usize
     }
 
     /// Scatters one micro-batch to its shards. Each job's reply sender
@@ -291,15 +314,7 @@ impl Router {
         for (seq, request, reply) in batch {
             // Hash once: the routing key doubles as the cache key inside
             // the shard's engine.
-            let hash_started = Instant::now();
-            let hash = Self::route_hash(&request);
-            if let Some(trace) = &self.trace {
-                trace.emit(
-                    "canonicalize",
-                    hash_started.elapsed(),
-                    &[("kind", cdat_obs::TraceField::Str(request.query.kind().label()))],
-                );
-            }
+            let hash = self.route_hash(request.hash, &request.tree, request.query);
             let shard = (hash.0 % self.txs.len() as u128) as usize;
             groups[shard].push((seq, request, reply, hash));
         }
@@ -326,15 +341,7 @@ impl Router {
     /// Panics if `patches` and `prefixes` disagree in length.
     pub fn dispatch_delta(&self, seq: u64, request: DeltaRouteRequest, reply: Sender<Reply>) {
         assert_eq!(request.patches.len(), request.prefixes.len(), "one prefix per patch");
-        let hash_started = Instant::now();
-        let hash = Self::hash_for(&request.tree, request.query);
-        if let Some(trace) = &self.trace {
-            trace.emit(
-                "canonicalize",
-                hash_started.elapsed(),
-                &[("kind", cdat_obs::TraceField::Str(request.query.kind().label()))],
-            );
-        }
+        let hash = self.route_hash(request.hash, &request.tree, request.query);
         let shard = (hash.0 % self.txs.len() as u128) as usize;
         let _ = self.txs[shard].send(ShardMsg::Delta(seq, request, reply, hash));
     }
@@ -380,6 +387,11 @@ impl Router {
         &self.dispatch_metrics
     }
 
+    /// The tree memo the serving loops' readers look request trees up in.
+    pub(crate) fn memo(&self) -> &TreeMemo {
+        &self.memo
+    }
+
     /// Aggregates every telemetry surface into one point-in-time
     /// [`ServerSnapshot`] — pure atomic reads, no shard messaging.
     pub fn snapshot(&self) -> ServerSnapshot {
@@ -404,6 +416,7 @@ impl Router {
             batch_fill: self.dispatch_metrics.batch_fill.snapshot(),
             dispatch: self.dispatch_metrics.dispatch_us.snapshot(),
             store,
+            memo: self.memo.snapshot(),
         }
     }
 
@@ -426,6 +439,15 @@ impl Drop for Router {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// The routing hash of a tree for queries of `kind`: the same canonical
+/// hash that keys its cache entry.
+pub(crate) fn routing_hash(tree: &CdpAttackTree, kind: FrontKind) -> StructuralHash {
+    match kind {
+        FrontKind::Deterministic | FrontKind::MinTime => hash_cd(tree.cd()),
+        FrontKind::Probabilistic | FrontKind::MaxProb => hash_cdp(tree),
     }
 }
 
@@ -492,6 +514,7 @@ mod tests {
             hint: SolverHint::Auto,
             witnesses: false,
             prefix: format!("{{\"id\":{id}"),
+            hash: None,
         }
     }
 
@@ -625,6 +648,7 @@ mod tests {
             witnesses: true,
             patches: patches.clone(),
             prefixes,
+            hash: None,
         });
         assert_eq!(lines.len(), 5);
         for (k, (line, patch)) in lines.iter().zip(&patches).enumerate() {

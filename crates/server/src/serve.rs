@@ -3,35 +3,40 @@
 //!
 //! Requests flow `reader → dispatcher → shard → writer`:
 //!
-//! * a **reader** parses one JSON request per line and submits one job per
-//!   (document × request) to the dispatcher; parse errors and `stats` ops
-//!   are answered immediately, bypassing the batch path;
+//! * a **reader** parses one JSON request per line — looking each `tree`
+//!   text up in the server's tree memo (see `memo.rs`) before parsing it —
+//!   and submits one job per (document × request) to the dispatcher;
+//!   parse errors and `stats` ops are answered immediately, bypassing the
+//!   batch path;
 //! * the **dispatcher** accumulates jobs into micro-batches — a batch is
 //!   flushed when it reaches [`ServeConfig::batch_max`] jobs or when
-//!   [`ServeConfig::batch_window`] has elapsed since its first job — and
-//!   scatters every flush across the shards by structural hash;
+//!   [`ServeConfig::batch_window`] has elapsed since its first job (by
+//!   default at once, with whatever is already queued) — and scatters
+//!   every flush across the shards by structural hash;
 //! * each **shard** answers its slice through its private engine and cache
 //!   (see [`Router`](crate::Router));
 //! * a per-connection **writer** streams response lines back as they
-//!   complete, in completion order — clients correlate by `id`.
+//!   complete, in completion order — clients correlate by `id` — and
+//!   flushes whenever no further line is ready.
 //!
-//! Batching is a latency/throughput dial, not a semantic one: responses
-//! are byte-identical whatever the batch window, batch size or shard
-//! count, because every solver is deterministic and cache entries are
-//! keyed canonically.
+//! Batching and the tree memo are latency/throughput dials, not semantic
+//! ones: responses are byte-identical whatever the batch window, batch
+//! size, shard count or memo state, because every solver is deterministic
+//! and cache entries are keyed canonically.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cdat_format::json::Value;
 use cdat_obs::{TraceField, TraceWriter};
 
 use crate::protocol::{
-    delta_response_prefix, error_line, metrics_line, parse_request, response_prefix, stats_line,
-    Request,
+    delta_response_prefix, error_line, metrics_line, parse_request_with, response_prefix,
+    stats_line, Request,
 };
 use crate::router::{DeltaRouteRequest, Reply, RouteRequest, Router, RouterConfig};
 
@@ -43,8 +48,11 @@ pub struct ServeConfig {
     /// Flush a micro-batch at this many jobs even if the window is open.
     pub batch_max: usize,
     /// How long the dispatcher waits after a batch's first job for more
-    /// jobs to share the flush. Zero flushes greedily (whatever is already
-    /// queued goes out together).
+    /// jobs to share the flush. Zero (the default) flushes greedily:
+    /// whatever is already queued goes out together. A window of N µs buys
+    /// fewer, fuller batches for up to N µs of added latency; each shard's
+    /// engine is single-threaded and cache-backed, so a same-tree request
+    /// queued behind a miss is a cache hit either way.
     pub batch_window: Duration,
     /// Total front-cache budget in points, split over the shards; `None`
     /// means unbounded.
@@ -64,7 +72,7 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 4,
             batch_max: 64,
-            batch_window: Duration::from_micros(1000),
+            batch_window: Duration::ZERO,
             cache_budget: None,
             store: None,
             trace: None,
@@ -132,36 +140,74 @@ fn dispatch_loop(router: Arc<Router>, rx: Receiver<Job>, batch_max: usize, windo
     }
 }
 
+/// The most line-buffer capacity a reader keeps between requests: one long
+/// line (a big `suite`) must not pin its bytes for the rest of the
+/// connection.
+const RETAINED_LINE_BYTES: usize = 64 << 10;
+
 /// Reads requests line by line, answering control and error lines
 /// immediately and submitting solve jobs to the dispatcher.
 ///
 /// `seq` numbers this reader's jobs (ordering within `Router::solve`-style
-/// gathers; streamed writers ignore it).
+/// gathers; streamed writers ignore it). Lines are read into one reused
+/// byte buffer, trimmed back to [`RETAINED_LINE_BYTES`] after a longer
+/// line; a line that is not UTF-8 answers a `bad JSON` error with a null
+/// id, like any other unparseable line, and reading goes on. Only EOF or a
+/// read error ends the loop.
 fn read_loop<R: BufRead>(
-    reader: R,
+    mut reader: R,
     router: &Router,
     batcher: &Sender<Job>,
     reply: &Sender<Reply>,
     seq: &mut u64,
     trace: Option<&TraceWriter>,
 ) {
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+    let mut buffer = Vec::new();
+    loop {
+        buffer.clear();
+        buffer.shrink_to(RETAINED_LINE_BYTES);
+        match reader.read_until(b'\n', &mut buffer) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
         let mut next_seq = || {
             *seq += 1;
             *seq
         };
+        // Strip the terminator exactly as `BufRead::lines` does, so error
+        // byte offsets stay what they were.
+        let mut bytes = buffer.as_slice();
+        if let Some(rest) = bytes.strip_suffix(b"\n") {
+            bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+        }
+        let line = match std::str::from_utf8(bytes) {
+            Ok(line) => line,
+            Err(e) => {
+                let message = format!("bad JSON: invalid UTF-8 at byte {}", e.valid_up_to());
+                let _ = reply.send((next_seq(), error_line(&Value::Null, &message)));
+                continue;
+            }
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
         let parse_started = Instant::now();
-        let parsed = parse_request(&line);
+        let mut memo_hit = None;
+        let parsed = parse_request_with(line, |text, kind| {
+            let (tree, hit) = router.memo().parse(text);
+            memo_hit = Some(hit);
+            tree.map(|tree| (tree.tree().clone(), tree.hash(kind)))
+        });
         if let Some(trace) = trace {
-            trace.emit(
-                "parse",
-                parse_started.elapsed(),
-                &[("ok", TraceField::Bool(parsed.is_ok()))],
-            );
+            let ok = ("ok", TraceField::Bool(parsed.is_ok()));
+            match memo_hit {
+                Some(hit) => trace.emit(
+                    "parse",
+                    parse_started.elapsed(),
+                    &[ok, ("memo", TraceField::Str(if hit { "hit" } else { "miss" }))],
+                ),
+                None => trace.emit("parse", parse_started.elapsed(), &[ok]),
+            }
         }
         match parsed {
             Err((id, message)) => {
@@ -200,6 +246,7 @@ fn read_loop<R: BufRead>(
                     witnesses: request.witnesses,
                     patches: request.patches,
                     prefixes,
+                    hash: request.hash,
                 };
                 router.dispatch_delta(first, job, reply.clone());
             }
@@ -212,6 +259,7 @@ fn read_loop<R: BufRead>(
                         hint: request.hint,
                         witnesses: request.witnesses,
                         prefix: response_prefix(&request.id, suite_info, request.query),
+                        hash: doc.hash,
                     };
                     if batcher.send((next_seq(), job, reply.clone())).is_err() {
                         return; // server shutting down
@@ -222,13 +270,26 @@ fn read_loop<R: BufRead>(
     }
 }
 
-/// Writes response lines as they complete, flushing per line so pipelining
-/// clients see answers promptly. Returns when every reply sender is gone.
-fn write_loop<W: Write>(mut sink: W, rx: Receiver<Reply>) {
-    for (_, line) in rx {
-        if writeln!(sink, "{line}").and_then(|()| sink.flush()).is_err() {
-            // Client hung up. Dropping the receiver is enough: sends are
-            // non-blocking and the shards ignore failed sends.
+/// Writes response lines as they complete, flushing whenever no further
+/// line is ready: a pipelining client sees every answer promptly, and a
+/// burst of answers leaves in one write. Returns when every reply sender
+/// is gone.
+fn write_loop<W: Write>(sink: W, rx: Receiver<Reply>) {
+    let mut sink = BufWriter::new(sink);
+    while let Ok(mut reply) = rx.recv() {
+        loop {
+            let (_, line) = reply;
+            if sink.write_all(line.as_bytes()).and_then(|()| sink.write_all(b"\n")).is_err() {
+                // Client hung up. Dropping the receiver is enough: sends
+                // are non-blocking and the shards ignore failed sends.
+                return;
+            }
+            match rx.try_recv() {
+                Ok(next) => reply = next,
+                Err(_) => break,
+            }
+        }
+        if sink.flush().is_err() {
             return;
         }
     }
@@ -321,6 +382,11 @@ mod tests {
     /// Drives `read_loop` + dispatcher + shards end to end over in-memory
     /// pipes, returning all response lines (completion order).
     fn serve_text(input: &str, config: &ServeConfig) -> Vec<String> {
+        serve_bytes(input.as_bytes(), config)
+    }
+
+    /// [`serve_text`] over raw request bytes.
+    fn serve_bytes(input: &[u8], config: &ServeConfig) -> Vec<String> {
         let router = Arc::new(Router::new(config.router_config()).expect("open router"));
         let (reply_tx, reply_rx) = channel::<Reply>();
         let (batch_tx, batch_rx) = channel::<Job>();
@@ -330,7 +396,7 @@ mod tests {
             std::thread::spawn(move || dispatch_loop(router, batch_rx, batch_max, window))
         };
         let mut seq = 0;
-        read_loop(input.as_bytes(), &router, &batch_tx, &reply_tx, &mut seq, config.trace.as_ref());
+        read_loop(input, &router, &batch_tx, &reply_tx, &mut seq, config.trace.as_ref());
         drop(batch_tx);
         dispatcher.join().unwrap();
         drop(router);
@@ -362,6 +428,26 @@ mod tests {
         assert!(sorted[1].starts_with("{\"id\":2,\"query\":\"dgc\",\"arg\":5,\"point\":"));
         assert!(sorted[2].starts_with("{\"id\":3,\"stats\":"), "{}", sorted[2]);
         assert!(sorted[3].starts_with("{\"id\":null,\"error\":\"bad JSON"), "{}", sorted[3]);
+    }
+
+    #[test]
+    fn a_line_of_invalid_utf8_answers_an_error_and_the_session_goes_on() {
+        let mut input = Vec::new();
+        input.extend_from_slice(br#"{"id":0,"tree":"or root damage=200\n  bas ca cost=1\n"}"#);
+        input.extend_from_slice(b"\n{\"id\":1,\"tree\":\"or r\xff\"}\n");
+        input.extend_from_slice(br#"{"id":2,"tree":"or root damage=200\n  bas ca cost=1\n","#);
+        input.extend_from_slice(br#""query":"dgc","arg":5}"#);
+        input.extend_from_slice(b"\r\n{\"id\":3\n");
+        input.extend_from_slice(br#"{"op":"stats","id":4}"#); // no final newline
+        let lines = sorted_by_id(serve_bytes(&input, &ServeConfig::default()));
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        assert_eq!(lines[0], "{\"id\":0,\"query\":\"cdpf\",\"front\":[[0,0],[1,200]]}");
+        assert_eq!(lines[1], "{\"id\":2,\"query\":\"dgc\",\"arg\":5,\"point\":[1,200]}");
+        assert!(lines[2].starts_with("{\"id\":4,\"stats\":"), "{}", lines[2]);
+        // Offsets count from the line start, terminator excluded — the
+        // bytes `BufRead::lines` framing produced.
+        assert_eq!(lines[3], "{\"id\":null,\"error\":\"bad JSON: expected ',' or '}' at byte 7\"}");
+        assert_eq!(lines[4], "{\"id\":null,\"error\":\"bad JSON: invalid UTF-8 at byte 20\"}");
     }
 
     #[test]

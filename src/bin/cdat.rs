@@ -3,7 +3,7 @@
 //! ```text
 //! cdat info    <tree.cdat>              shape, sizes, attribute summary
 //! cdat cdpf    <tree.cdat>              cost-damage Pareto front (+witnesses)
-//! cdat cedpf   <tree.cdat>              cost-expected-damage front (treelike)
+//! cdat cedpf   <tree.cdat>              cost-expected-damage front
 //! cdat dgc     <tree.cdat> <budget>     max damage within a cost budget
 //! cdat cgd     <tree.cdat> <threshold>  min cost reaching a damage threshold
 //! cdat minimal <tree.cdat>              minimal successful attacks
@@ -151,7 +151,7 @@ fn usage() -> String {
     for (cmd, help) in [
         ("info    <file>", "shape, sizes, attribute summary"),
         ("cdpf    <file>", "cost-damage Pareto front with witness attacks"),
-        ("cedpf   <file>", "cost-expected-damage front (treelike trees)"),
+        ("cedpf   <file>", "cost-expected-damage front"),
         ("dgc     <file> <budget>", "max damage within a cost budget"),
         ("cgd     <file> <threshold>", "min cost reaching a damage threshold"),
         ("minimal <file>", "minimal successful attacks"),
@@ -206,7 +206,10 @@ fn usage() -> String {
          chosen address is announced on stderr)\n  \
          --workers N        worker shards (default: available parallelism)\n  \
          --batch-max N      flush a micro-batch at N requests (default 64)\n  \
-         --batch-window-us U  micro-batch accumulation window (default 1000)\n  \
+         --batch-window-us U  hold a micro-batch open up to U µs for more\n                     \
+         requests: fewer, fuller batches for up to U µs of added\n                     \
+         latency (default 0: greedy, whatever is queued goes\n                     \
+         out at once)\n  \
          --cache-budget P   total front-cache budget in points, split over shards\n  \
          --trace PATH       append one JSONL span event per request stage to PATH\n  \
          --store PATH       persistent front store shared by the shards; a\n                     \
@@ -914,6 +917,7 @@ fn query_local(
                     Some((doc, d.name.as_deref())),
                     query,
                 ),
+                hash: None,
             });
         }
     }
@@ -977,6 +981,7 @@ fn query_sweep_local(
                         protocol::delta_response_prefix(&json::Value::Num(i as f64), Some(k), query)
                     })
                     .collect(),
+                hash: None,
             }),
         );
     }

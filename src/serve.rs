@@ -2,7 +2,8 @@
 //!
 //! Re-exports [`cdat_server`]. The server accepts newline-delimited JSON
 //! requests (a tree or suite inline, one of the six queries, an optional
-//! solver hint, an optional witness opt-in) over stdio or TCP,
+//! solver hint, an optional witness opt-in) over stdio or TCP, keeps
+//! repeatedly sent trees parsed in a byte-budgeted tree memo,
 //! accumulates them into micro-batches, routes every request to the
 //! worker shard owning its slice of the front cache (partitioned by the
 //! canonical structural hash), bounds cache memory with LRU eviction, and
@@ -26,6 +27,7 @@
 //!     hint: SolverHint::Auto,
 //!     witnesses: true,
 //!     prefix: "{\"id\":0".into(),
+//!     hash: None, // the router hashes the tree itself
 //! };
 //! let lines = router.solve(vec![request]);
 //! assert_eq!(
@@ -36,6 +38,7 @@
 //! ```
 
 pub use cdat_server::{
-    protocol, serve_stdio, serve_tcp, DeltaRouteRequest, DispatchMetrics, Reply, RouteRequest,
-    Router, RouterConfig, ServeConfig, ServerSnapshot, ShardTelemetry,
+    protocol, serve_stdio, serve_tcp, DeltaRouteRequest, DispatchMetrics, MemoSnapshot, Reply,
+    RouteRequest, Router, RouterConfig, ServeConfig, ServerSnapshot, ShardTelemetry,
+    TREE_MEMO_BUDGET,
 };

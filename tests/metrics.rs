@@ -42,6 +42,7 @@ fn requests(distinct: usize, copies: usize) -> Vec<RouteRequest> {
                 hint: SolverHint::Auto,
                 witnesses: false,
                 prefix: format!("{{\"id\":{}", copy * distinct + i),
+                hash: None,
             });
         }
     }
@@ -125,6 +126,7 @@ fn delta_counters_stay_out_of_the_tier_partition_and_tie_to_their_histogram() {
             witnesses: false,
             patches: patches.clone(),
             prefixes: (0..patches.len()).map(|k| format!("{{\"id\":{k}")).collect(),
+            hash: None,
         });
         assert_eq!(lines.len(), patches.len());
         assert!(lines[5].contains("\"error\":"), "the invalid patch answers an error line");
@@ -188,6 +190,7 @@ fn backend_counters_partition_requests_across_a_server() {
         hint,
         witnesses: false,
         prefix: format!("{{\"id\":{id}"),
+        hash: None,
     };
     let mut batch = treelike;
     // Auto on a DAG routes to the fused solver; explicit hints force their
@@ -316,4 +319,118 @@ fn store_metrics_flow_into_the_server_snapshot() {
     let disk_hits: u64 = snapshot.engine.families.iter().map(|f| f.disk_hits).sum();
     assert_eq!(disk_hits, 6);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Runs one `cdat serve --stdio` session over `input` and returns its
+/// response lines (completion order).
+fn serve_session(args: &[&str], input: &str) -> Vec<String> {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cdat"))
+        .args(["serve", "--stdio", "--workers", "2"])
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let input = input.to_owned();
+    let feeder = std::thread::spawn(move || stdin.write_all(input.as_bytes()));
+    let output = child.wait_with_output().expect("serve exits at EOF");
+    feeder.join().unwrap().expect("input written");
+    assert!(output.status.success());
+    String::from_utf8(output.stdout).unwrap().lines().map(str::to_owned).collect()
+}
+
+/// The tree memo's counters partition the readers' tree lookups: hits
+/// plus misses equal the tree-carrying requests parsed (solves, `whatif`
+/// and `sweep`, unparseable trees included; suites parse afresh, and a
+/// request rejected before its tree is read looks nothing up). A traced
+/// session answers byte-identically to an untraced one, and its `parse`
+/// spans carry the same hit/miss outcomes as the counters.
+#[test]
+fn memo_counters_partition_tree_lookups_and_tracing_stays_out_of_band() {
+    let tree =
+        |cost: u32| json::escape(&format!("or root damage=9\n  bas a cost={cost}\n  bas b\n"));
+    let mut lines = Vec::new();
+    let mut lookups = 0;
+    for round in 0..3 {
+        for cost in 1..=4 {
+            let id = 10 * round + cost;
+            lines.push(format!(
+                "{{\"id\":{id},\"tree\":\"{}\",\"query\":\"dgc\",\"arg\":3}}",
+                tree(cost)
+            ));
+            lookups += 1;
+        }
+    }
+    let looked_up = [
+        format!("{{\"op\":\"whatif\",\"id\":50,\"tree\":\"{}\",\"patch\":{{\"cost\":{{\"a\":5}}}}}}", tree(1)),
+        format!("{{\"op\":\"sweep\",\"id\":51,\"tree\":\"{}\",\"patches\":[{{}},{{\"defend\":[\"b\"]}}]}}", tree(2)),
+        "{\"id\":52,\"tree\":\"or root\\n  zap a\\n\"}".to_owned(),
+        "{\"id\":53,\"tree\":\"or root\\n  zap a\\n\"}".to_owned(),
+    ];
+    lookups += looked_up.len() as u64;
+    lines.extend(looked_up);
+    lines.extend([
+        format!("{{\"id\":60,\"suite\":\"--- s\\n{}\"}}", tree(1)),
+        format!("{{\"id\":61,\"tree\":\"{}\",\"query\":\"frob\"}}", tree(1)),
+        "not json".to_owned(),
+        "{\"op\":\"stats\",\"id\":62}".to_owned(),
+    ]);
+    let mut input = lines.join("\n");
+    input.push_str("\n{\"op\":\"metrics\",\"id\":99}\n");
+
+    let path = unique_path("memo-trace");
+    let plain = serve_session(&[], &input);
+    let traced = serve_session(&["--trace", path.to_str().unwrap()], &input);
+    let answers = |lines: &[String]| {
+        let mut answers: Vec<String> = lines
+            .iter()
+            .filter(|l| !l.contains("\"stats\":") && !l.contains("\"metrics\":"))
+            .cloned()
+            .collect();
+        answers.sort();
+        answers
+    };
+    assert_eq!(answers(&traced), answers(&plain), "tracing changed response bytes");
+    assert_eq!(answers(&plain).len(), 12 + 1 + 2 + 2 + 1 + 2);
+
+    for lines in [&plain, &traced] {
+        let metrics = lines.iter().find(|l| l.contains("\"metrics\":")).expect("metrics line");
+        let value = json::parse(metrics).unwrap();
+        let text = value.get("metrics").and_then(json::Value::as_str).unwrap().to_owned();
+        let sample = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("no {name}"))
+                .parse()
+                .unwrap()
+        };
+        let (hits, misses) =
+            (sample("cdat_tree_memo_hits_total"), sample("cdat_tree_memo_misses_total"));
+        assert_eq!(hits + misses, lookups, "one memo outcome per tree-carrying request");
+        // Four trees, each parsed on its first and admitting sighting;
+        // the unparseable one twice and never admitted.
+        assert_eq!(misses, 4 * 2 + 2);
+        assert_eq!(sample("cdat_tree_memo_admissions_total"), 4);
+        assert_eq!(sample("cdat_tree_memo_evictions_total"), 0);
+        assert!(sample("cdat_tree_memo_bytes") > 0);
+    }
+
+    let trace = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    let mut outcomes = Vec::new();
+    for line in trace.lines() {
+        let span = json::parse(line).expect("strict JSONL");
+        if span.get("stage").and_then(json::Value::as_str) == Some("parse") {
+            if let Some(memo) = span.get("memo") {
+                outcomes.push(memo.as_str().expect("memo outcome is a string").to_owned());
+            }
+        }
+    }
+    assert_eq!(outcomes.len() as u64, lookups, "one memo field per tree lookup");
+    let hit_spans = outcomes.iter().filter(|o| *o == "hit").count() as u64;
+    assert_eq!(hit_spans, lookups - (4 * 2 + 2));
+    assert!(outcomes.iter().all(|o| o == "hit" || o == "miss"));
 }

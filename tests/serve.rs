@@ -350,3 +350,292 @@ fn stdio_protocol_handles_hints_errors_and_suites() {
         "{\"id\":4,\"doc\":1,\"name\":\"q\",\"query\":\"cdpf\",\"front\":[[0,0],[4,3]]}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// The tree memo: repeated tree texts answer from parsed, memoized trees with
+// exactly the bytes `cdat batch` prints for the same documents.
+// ---------------------------------------------------------------------------
+
+/// `cdat batch <docs as a suite> <flags>` as response bodies: everything
+/// from `"query"` on, with the `cache` field dropped, in batch order
+/// (document-major, then flag order).
+fn batch_bodies(docs: &[&str], flags: &[&str]) -> Vec<String> {
+    let suite: String =
+        docs.iter().enumerate().map(|(i, doc)| format!("--- d{i}\n{doc}")).collect();
+    let path = unique_path("memo-suite");
+    std::fs::write(&path, suite).expect("temp file writable");
+    let out = run(cdat_bin().arg("batch").arg(&path).args(flags));
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "batch failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let line = line.replacen("\"cache\":\"hit\",", "", 1);
+            line.replacen("\"cache\":\"miss\",", "", 1)
+        })
+        .map(|line| body(&line).to_owned())
+        .collect()
+}
+
+/// A response line from its `"query"` field on (the part that must equal
+/// the batch line).
+fn body(line: &str) -> &str {
+    &line[line.find("\"query\"").unwrap_or_else(|| panic!("no query in {line}"))..]
+}
+
+/// One sample of the `metrics` op's exposition, from its response line.
+fn metric(metrics_line: &str, name: &str) -> u64 {
+    let value = json::parse(metrics_line).expect("metrics line is JSON");
+    let text = value.get("metrics").and_then(json::Value::as_str).expect("metrics string");
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} in {text}"))
+        .parse()
+        .expect("integer sample")
+}
+
+/// Splits a session's output into solve lines by id and the one metrics
+/// line.
+fn split_metrics(lines: Vec<String>) -> (Vec<String>, String) {
+    let (metrics, mut solves): (Vec<String>, Vec<String>) =
+        lines.into_iter().partition(|l| l.contains("\"metrics\":"));
+    solves.sort_by_key(|line| int_field(line, "id"));
+    (solves, metrics.into_iter().next().expect("one metrics line"))
+}
+
+/// The eight query families, as request fields and as batch flags.
+const FAMILIES: [(&str, &str); 8] = [
+    ("\"query\":\"cdpf\"", "--cdpf"),
+    ("\"query\":\"cedpf\"", "--cedpf"),
+    ("\"query\":\"dgc\",\"arg\":4", "--dgc 4"),
+    ("\"query\":\"cgd\",\"arg\":5", "--cgd 5"),
+    ("\"query\":\"edgc\",\"arg\":4", "--edgc 4"),
+    ("\"query\":\"cged\",\"arg\":5", "--cged 5"),
+    ("\"query\":\"min-time\"", "--min-time"),
+    ("\"query\":\"max-prob\"", "--max-prob"),
+];
+
+/// Every family, cold then warm: each document's text is re-sent with
+/// fresh ids over three rounds (the first sighting parses, the second
+/// admits, every later one is a memo hit), and every answer equals the
+/// batch line.
+#[test]
+fn memoized_trees_answer_every_family_with_batch_bytes() {
+    let suite = mixed_suite();
+    let texts: Vec<String> = suite[..10]
+        .iter()
+        .chain(&suite[105..107])
+        .map(|(_, tree)| cdat_format::write(tree))
+        .collect();
+    let docs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    let flags: Vec<&str> = FAMILIES.iter().flat_map(|(_, f)| f.split(' ')).collect();
+    let reference = batch_bodies(&docs, &flags);
+    assert_eq!(reference.len(), docs.len() * FAMILIES.len());
+
+    let mut input = String::new();
+    for round in 0..3 {
+        for (d, doc) in docs.iter().enumerate() {
+            for (q, (fields, _)) in FAMILIES.iter().enumerate() {
+                let id = 1000 * round + 10 * d + q;
+                input.push_str(&format!(
+                    "{{\"id\":{id},\"tree\":\"{}\",{fields}}}\n",
+                    json::escape(doc)
+                ));
+            }
+        }
+    }
+    input.push_str("{\"op\":\"metrics\",\"id\":999999}\n");
+    let (lines, metrics) = split_metrics(serve_stdio(&["--workers", "3"], input));
+    assert_eq!(lines.len(), 3 * reference.len());
+    for (k, line) in lines.iter().enumerate() {
+        let id = int_field(line, "id") as usize;
+        let (d, q) = ((id % 1000) / 10, id % 10);
+        assert_eq!(body(line), reference[d * FAMILIES.len() + q], "request {k} (id {id})");
+    }
+    // Per document: one first sighting, one admitting parse, then hits.
+    let (hits, misses) = (
+        metric(&metrics, "cdat_tree_memo_hits_total"),
+        metric(&metrics, "cdat_tree_memo_misses_total"),
+    );
+    assert_eq!(misses, 2 * docs.len() as u64);
+    assert_eq!(hits + misses, lines.len() as u64, "one lookup per tree-carrying request");
+    assert_eq!(metric(&metrics, "cdat_tree_memo_admissions_total"), docs.len() as u64);
+}
+
+/// The memo keys on the decoded text: the same tree spelled with `\u000a`
+/// line breaks or `\/` slashes is the same entry; an isomorphic copy with
+/// renamed, reordered BASs is another entry whose witnesses still come
+/// back in its own numbering.
+#[test]
+fn memo_hits_across_escape_spellings_and_keeps_renamed_copies_apart() {
+    let base = "or \"goal/x\" damage=200\n  bas cyberattack cost=1 prob=0.2\n  and \"destroy/robot\" damage=100\n    bas \"place bomb\" cost=3 prob=0.4\n    bas \"force door\" cost=2 damage=10 prob=0.9\n";
+    let renamed = "or top damage=200\n  and robot damage=100\n    bas door cost=2 damage=10 prob=0.9\n    bas bomb cost=3 prob=0.4\n  bas cyber cost=1 prob=0.2\n";
+    let reference =
+        batch_bodies(&[base, renamed], &["--cdpf", "--cedpf", "--dgc", "3", "--witnesses"]);
+    let plain = json::escape(base);
+    let spellings = [
+        plain.clone(),
+        plain.replace("\\n", "\\u000a"),
+        plain.replace('/', "\\/"),
+        plain.replace("\\n", "\\u000A").replace('/', "\\/"),
+    ];
+    let queries = ["\"query\":\"cdpf\"", "\"query\":\"cedpf\"", "\"query\":\"dgc\",\"arg\":3"];
+    let mut input = String::new();
+    let mut expected = Vec::new();
+    let mut id = 100;
+    for (spelling, doc) in spellings.iter().map(|s| (s.clone(), 0)).chain([
+        (json::escape(renamed), 1),
+        (json::escape(renamed), 1),
+        (json::escape(renamed), 1),
+    ]) {
+        for (q, fields) in queries.iter().enumerate() {
+            input.push_str(&format!(
+                "{{\"id\":{id},\"tree\":\"{spelling}\",{fields},\"witnesses\":true}}\n"
+            ));
+            expected.push(reference[doc * queries.len() + q].clone());
+            id += 1;
+        }
+    }
+    input.push_str("{\"op\":\"metrics\",\"id\":999}\n");
+    let (lines, metrics) = split_metrics(serve_stdio(&["--workers", "2"], input));
+    let bodies: Vec<&str> = lines.iter().map(|l| body(l)).collect();
+    assert_eq!(bodies, expected);
+    assert_ne!(reference[0], reference[3], "the copies number their witnesses differently");
+    // Two texts, each parsed twice (first and admitting sighting); every
+    // other lookup — all four spellings included — is a hit.
+    assert_eq!(metric(&metrics, "cdat_tree_memo_misses_total"), 4);
+    assert_eq!(metric(&metrics, "cdat_tree_memo_hits_total"), lines.len() as u64 - 4);
+    assert_eq!(metric(&metrics, "cdat_tree_memo_admissions_total"), 2);
+}
+
+/// An unparseable tree answers the same error every time it is sent and
+/// never takes a memo slot.
+#[test]
+fn unparseable_trees_answer_the_same_error_and_are_never_admitted() {
+    let text = "or goal damage=10\n  zap pick-lock cost=5\n";
+    let expected = format!("tree: {}", cdat_format::parse(text).unwrap_err());
+    let request = |id: usize| format!("{{\"id\":{id},\"tree\":\"{}\"}}\n", json::escape(text));
+    let input =
+        format!("{}{}{}{{\"op\":\"metrics\",\"id\":9}}\n", request(1), request(2), request(3));
+    let (lines, metrics) = split_metrics(serve_stdio(&["--workers", "2"], input));
+    for (i, line) in lines.iter().enumerate() {
+        let id = i + 1;
+        assert_eq!(*line, format!("{{\"id\":{id},\"error\":\"{}\"}}", json::escape(&expected)));
+    }
+    assert_eq!(metric(&metrics, "cdat_tree_memo_misses_total"), 3);
+    assert_eq!(metric(&metrics, "cdat_tree_memo_hits_total"), 0);
+    assert_eq!(metric(&metrics, "cdat_tree_memo_admissions_total"), 0);
+    assert_eq!(metric(&metrics, "cdat_tree_memo_bytes"), 0);
+}
+
+/// More distinct repeated trees than the memo's byte budget holds: the
+/// memo evicts, never charges more than its budget, and every answer
+/// still equals the batch line.
+#[test]
+fn memo_overflowing_its_budget_evicts_with_batch_bytes() {
+    let probe = &cdat_gen::decorated_dag_suite(1, 1500, 0.0, 0.2, 41)[0];
+    let charge = cdat_format::write(probe).len() + probe.heap_bytes();
+    let count = cdat::serve::TREE_MEMO_BUDGET / charge + 4;
+    let texts: Vec<String> = cdat_gen::decorated_dag_suite(count, 1500, 0.0, 0.2, 41)
+        .iter()
+        .map(cdat_format::write)
+        .collect();
+    let docs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    let reference = batch_bodies(&docs, &["--min-time"]);
+
+    // Every tree twice (admitting it), then all of them once more.
+    let mut input = String::new();
+    let order = (0..count).flat_map(|d| [d, d]).chain(0..count);
+    for (k, d) in order.enumerate() {
+        let id = 10_000 * k + d;
+        input.push_str(&format!(
+            "{{\"id\":{id},\"tree\":\"{}\",\"query\":\"min-time\"}}\n",
+            json::escape(docs[d])
+        ));
+    }
+    input.push_str("{\"op\":\"metrics\",\"id\":1}\n");
+    let (lines, metrics) = split_metrics(serve_stdio(&["--workers", "2"], input));
+    assert_eq!(lines.len(), 3 * count);
+    for line in &lines {
+        let d = int_field(line, "id") as usize % 10_000;
+        assert_eq!(body(line), reference[d], "tree {d}");
+    }
+    assert_eq!(metric(&metrics, "cdat_tree_memo_admissions_total"), count as u64);
+    assert!(metric(&metrics, "cdat_tree_memo_evictions_total") > 0);
+    let bytes = metric(&metrics, "cdat_tree_memo_bytes");
+    assert!(bytes > 0 && bytes <= cdat::serve::TREE_MEMO_BUDGET as u64, "{bytes}");
+}
+
+/// A sweep whose base tree is memoized (admitted by two plain solves)
+/// answers every variant with the batch bytes of the materialized variant.
+#[test]
+fn sweeps_over_a_memoized_base_tree_answer_batch_bytes() {
+    let doc = |pick: &str, smash: &str| {
+        format!("or goal damage=10\n  bas pick-lock cost={pick}\n  bas smash-window cost={smash} damage=2\n")
+    };
+    let base = doc("5", "1");
+    let variants = [doc("0.5", "1"), doc("5", "7"), doc("2", "2")];
+    let variant_refs: Vec<&str> = variants.iter().map(String::as_str).collect();
+    let reference = batch_bodies(&variant_refs, &["--cdpf", "--witnesses"]);
+    let tree = json::escape(&base);
+    let input = format!(
+        "{{\"id\":1,\"tree\":\"{tree}\"}}\n{{\"id\":2,\"tree\":\"{tree}\"}}\n\
+         {{\"op\":\"sweep\",\"id\":3,\"tree\":\"{tree}\",\"witnesses\":true,\"patches\":[\
+         {{\"cost\":{{\"pick-lock\":0.5}}}},{{\"cost\":{{\"smash-window\":7}}}},\
+         {{\"cost\":{{\"pick-lock\":2,\"smash-window\":2}}}}]}}\n\
+         {{\"op\":\"metrics\",\"id\":4}}\n"
+    );
+    let (lines, metrics) = split_metrics(serve_stdio(&["--workers", "2"], input));
+    let sweep: Vec<&String> = lines.iter().filter(|l| l.contains("\"variant\":")).collect();
+    assert_eq!(sweep.len(), 3);
+    for line in sweep {
+        let k = int_field(line, "variant") as usize;
+        assert_eq!(body(line), reference[k], "variant {k}");
+    }
+    assert_eq!(metric(&metrics, "cdat_tree_memo_hits_total"), 1, "the sweep's base hit");
+}
+
+/// Two TCP connections share one memo: a tree admitted on one connection
+/// answers from the memo on the other, with the batch bytes.
+#[test]
+fn tcp_connections_share_the_tree_memo() {
+    use std::net::TcpStream;
+    let mut child: Child = cdat_bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    let stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let announce = stderr.lines().next().expect("announce line").expect("utf-8");
+    let addr = announce.strip_prefix("cdat-serve: listening on ").expect("announce format");
+
+    let text = "or goal damage=10\n  bas pick-lock cost=5\n  bas smash-window cost=1 damage=2\n";
+    let reference = batch_bodies(&[text], &["--cdpf", "--dgc", "3"]);
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    let ask = |conn: &mut (BufReader<TcpStream>, TcpStream), request: String| {
+        conn.1.write_all(request.as_bytes()).expect("send");
+        let mut line = String::new();
+        conn.0.read_line(&mut line).expect("answer");
+        line.trim_end().to_owned()
+    };
+    let tree = json::escape(text);
+    let mut conns = [connect(), connect()];
+    for (conn, id, query) in [
+        (0, 1, "\"query\":\"cdpf\""),
+        (0, 2, "\"query\":\"dgc\",\"arg\":3"),
+        (1, 3, "\"query\":\"cdpf\""),
+        (1, 4, "\"query\":\"dgc\",\"arg\":3"),
+    ] {
+        let line = ask(&mut conns[conn], format!("{{\"id\":{id},\"tree\":\"{tree}\",{query}}}\n"));
+        assert_eq!(body(&line), reference[(id + 1) % 2], "id {id}");
+    }
+    let metrics = ask(&mut conns[0], "{\"op\":\"metrics\",\"id\":5}\n".into());
+    let _ = child.kill();
+    let _ = child.wait();
+    assert_eq!(metric(&metrics, "cdat_tree_memo_hits_total"), 2, "connection b hit a's entry");
+    assert_eq!(metric(&metrics, "cdat_tree_memo_admissions_total"), 1);
+}

@@ -214,6 +214,51 @@ fn readme_console_flags_exist_in_the_cli_usage() {
     assert!(checked >= 10, "expected to find README flags to check, found {checked}");
 }
 
+/// The usage text cannot call a command treelike-only when it answers on
+/// DAGs: every analysis command the usage lists with a `<file>` argument
+/// runs on a small DAG document (numeric placeholders get `3`, optional
+/// `[...]` arguments are left out), and no command that succeeds may be
+/// described as treelike.
+#[test]
+fn usage_shape_claims_hold_on_a_dag() {
+    let cdat = env!("CARGO_BIN_EXE_cdat");
+    let usage = std::process::Command::new(cdat).arg("help").output().expect("binary runs").stdout;
+    let usage = String::from_utf8(usage).expect("usage is utf-8");
+    let dag = "or root damage=9\n  and g1\n    bas x cost=1 prob=0.5\n    bas y cost=2\n  \
+               and g2\n    ref x\n    bas z cost=3 damage=4 prob=0.8\n";
+    assert!(!format::parse(dag).expect("valid document").tree().is_treelike());
+    let path = std::env::temp_dir().join(format!("cdat-tooling-usage-{}.cdat", std::process::id()));
+    std::fs::write(&path, dag).expect("temp file writable");
+    let path_str = path.to_str().expect("utf-8 temp path");
+
+    let mut answered = Vec::new();
+    let commands = usage.lines().skip_while(|l| *l != "commands:").skip(1);
+    for line in commands.take_while(|l| !l.is_empty()) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if words.get(1) != Some(&"<file>") {
+            continue;
+        }
+        let arity =
+            words[2..].iter().take_while(|w| w.starts_with('<') || w.starts_with('[')).count();
+        let mut args = vec![words[0], path_str];
+        args.extend(words[2..2 + arity].iter().filter(|w| w.starts_with('<')).map(|_| "3"));
+        let description = words[2 + arity..].join(" ");
+        let out = std::process::Command::new(cdat).args(&args).output().expect("binary runs");
+        if out.status.success() {
+            assert!(
+                !description.contains("treelike"),
+                "`cdat {}` answers on a DAG, but the usage says: {description}",
+                args.join(" ")
+            );
+            answered.push(words[0]);
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    for command in ["info", "cdpf", "cedpf", "dgc", "cgd"] {
+        assert!(answered.contains(&command), "`cdat {command}` must answer on a DAG: {answered:?}");
+    }
+}
+
 /// The README's batch/scalar example lines are the binary's actual bytes:
 /// run the documented pipeline and require every documented JSON line to
 /// appear verbatim in the output.
